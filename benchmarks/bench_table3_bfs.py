@@ -27,4 +27,4 @@ def test_bfs_gap(benchmark, suite, sources, name):
 def test_bfs_lagraph(benchmark, suite, sources, name):
     g = suite[name]
     srcs = sources(g)
-    benchmark(lambda: [alg.bfs_parent_do(g, int(s)) for s in srcs])
+    benchmark(lambda: [alg.bfs_parent_auto(g, int(s)) for s in srcs])

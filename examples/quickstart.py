@@ -43,18 +43,18 @@ print("\nWeakly connected components:", comp.to_dense())
 print("\nTriangles:", lg.triangle_count_basic(g))
 
 # ---------------------------------------------------------------------------
-# 3. Advanced mode: nothing is computed behind your back.  The same BFS
+# 3. Advanced mode: nothing is computed behind your back.  GAP PageRank
 #    refuses to run until *you* cache the transpose and degrees.
 # ---------------------------------------------------------------------------
 h = lg.Graph(A.dup(), lg.ADJACENCY_DIRECTED)
 try:
-    lg.bfs_parent_do(h, 0)
+    lg.pagerank_gap(h)
 except lg.PropertyMissing as e:
     print(f"\nAdvanced mode refused: {e}")
 h.cache_at()
 h.cache_row_degree()
-parent2 = lg.bfs_parent_do(h, 0)
-print("after caching, advanced BFS parents:", parent2.to_coo()[0].tolist())
+rank2, _ = lg.pagerank_gap(h)
+print("after caching, advanced PageRank:", np.round(rank2.to_dense(), 4))
 
 # ---------------------------------------------------------------------------
 # 4. The C calling convention (Secs. II-C/D), for code ported from LAGraph.

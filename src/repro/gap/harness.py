@@ -62,7 +62,7 @@ def _run_one(algo: str, g, gw, check: bool) -> Dict[str, float]:
         out["gap"] = t.toc() / srcs.size
         t.tic()
         for s in srcs:
-            parent = alg.bfs_parent_do(g, int(s))
+            parent = alg.bfs_parent_auto(g, int(s))
         out["lagraph"] = t.toc() / srcs.size
         if check:
             verify.verify_bfs_parent(g, int(srcs[-1]), parent)

@@ -40,7 +40,7 @@ __all__ = [
     "MSBFS_AUTO_BATCH_THRESHOLD", "MSBFS_PROBE_DENSITY",
     "MSBFS_FUSE_FRONTIER_K",
     # frontier-direction (Beamer) chooser
-    "PUSHPULL_ALPHA", "PUSHPULL_BETA", "BFS_DO_MIN_AVG_DEGREE",
+    "PUSHPULL_ALPHA", "PUSHPULL_BETA",
     # worker-pool sharding (repro.grb.pool)
     "POOL_MIN_WORK", "POOL_INLINE_LIMIT", "POOL_MULTIPLAN_ENABLED",
     # estimators
@@ -138,10 +138,6 @@ MSBFS_FUSE_FRONTIER_K = 8192
 #: the frontier holds fewer than n / beta vertices.
 PUSHPULL_ALPHA = 15.0
 PUSHPULL_BETA = 18.0
-
-#: Average degree at/above which Basic-mode BFS opts into direction
-#: optimisation (the transpose build has to amortise).
-BFS_DO_MIN_AVG_DEGREE = 4.0
 
 # ---------------------------------------------------------------------------
 # worker-pool sharding (repro.grb.pool)

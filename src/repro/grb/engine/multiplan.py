@@ -3,23 +3,14 @@
 When the lazy layer (:mod:`repro.grb.expr`) materialises a subgraph, the
 nodes arrive here in record order (a valid topological order).  Before
 dispatching them one by one, :class:`MultiPlan` tries the registered
-**multi-output fusion rules**: patterns where two consumers of one
+**multi-output fusion rules**: patterns where several consumers of one
 producer can execute inside the producer's single output pass, so the
-intermediate write-back machinery between them is never paid.  This is the
-step beyond PR 4's epilogue fusion, which could only fuse consumers
-hanging off a *single* producing call.
+intermediate write-back machinery between them is never paid.  Epilogue
+fusion (:mod:`repro.grb.engine.plan`) only fuses consumers hanging off a
+*single* producing call.
 
-Shipped rules
--------------
-``fused-frontier-parent``
-    ``vxm``/``mxv`` (no accum, ``replace=True``) into a frontier ``q``
-    immediately followed by ``update(p, q, mask=structure(q))`` — the two
-    calls of Alg. 1's BFS level.  The kernel's raw output writes the
-    frontier directly (the replace write-back degenerates to a plain set)
-    and the parents take one disjoint union merge, skipping the update's
-    full mask-resolution pass.  This is the engine-resident form of the
-    hand fusion ``bfs_parent_fused`` used to perform outside the plan
-    layer.
+Shipped rule
+------------
 ``fused-improve-merge``
     A ``vxm``/``mxv`` relaxation into ``x`` with *two* consumers — a
     ``select`` (the strict-improvement filter picking the next frontier)
@@ -47,7 +38,7 @@ from ...obs import trace as _trace
 from .. import telemetry
 from .. import cancel as _cancel
 from ..expr import _DONE
-from .._kernels.ewise import setdiff_keys, union_merge
+from .._kernels.ewise import union_merge
 from ..vector import Vector
 from . import cost
 from .plan import Plan
@@ -236,64 +227,6 @@ def _set_raw(w: Vector, keys, vals):
 # ---------------------------------------------------------------------------
 # fusion rules
 # ---------------------------------------------------------------------------
-
-@register_fusion("fused-frontier-parent")
-def _fuse_frontier_parent(nodes, i) -> int:
-    """``q⟨M, r⟩ = kernel`` then ``p⟨s(q)⟩ = q`` in one output pass.
-
-    The producer's raw arrays become ``q`` wholesale (replace + no accum:
-    nothing of the old frontier survives) and land in ``p`` through one
-    disjoint union merge — ``q ⊆ ¬s(p)`` is *not* assumed; only the exact
-    ``masked_write`` selection is replayed: every ``q`` entry is inside
-    its own structural mask, and the surviving ``p`` entries are the ones
-    outside ``q``'s keys.
-    """
-    if i + 1 >= len(nodes):
-        return 0
-    p_node, c_node = nodes[i], nodes[i + 1]
-    prod, cons = p_node.plan, c_node.plan
-    if not _simple_producer(prod):
-        return 0
-    q = prod.out
-    m = cons.mask
-    if not (cons.op == "update" and cons.args[0] is q
-            and isinstance(cons.out, Vector) and cons.out is not q
-            and cons.accum is None and not cons.replace
-            and m is not None and m.obj is q and m.structural
-            and not m.complemented and not cons.epilogues):
-        return 0
-
-    keys, vals = dispatch(_raw_twin(prod))
-    _set_raw(q, keys, vals)
-    p_node.result = q
-    p_node.state = _DONE
-
-    p = cons.out
-    q_idx, q_vals = q._idx, q._vals       # post-cast stored arrays
-    st = p._store
-    if st.fmt == "bitmap":
-        # the output pass proper: O(|q|) scatter into the parents' flag /
-        # value grids — the decomposed update rebuilds p's O(n) sparse
-        # arrays per level instead (content identical; this is where the
-        # old hand fusion's dense-parents win now lives, engine-resident)
-        fresh = int(np.count_nonzero(~st.present[q_idx]))
-        st.present[q_idx] = True
-        st.dense[q_idx] = q_vals.astype(p.type.dtype, copy=False)
-        st._nvals += fresh
-        st._sp = None                     # cached sparse view is stale
-        p._version += 1
-    else:
-        keep = setdiff_keys(p._idx, q_idx)  # p entries q doesn't overwrite
-        m_keys = np.concatenate((q_idx, p._idx[keep]))
-        m_vals = np.concatenate((
-            q_vals.astype(p.type.dtype, copy=False),
-            p._vals[keep].astype(p.type.dtype, copy=False)))
-        order = np.argsort(m_keys, kind="stable")
-        p._set_sparse(m_keys[order], m_vals[order])
-    c_node.result = p
-    c_node.state = _DONE
-    return 2
-
 
 @register_fusion("fused-improve-merge")
 def _fuse_improve_merge(nodes, i) -> int:

@@ -6,17 +6,16 @@ Every algorithm comes in the two user modes of Sec. II-B:
   `sssp`, `triangle_count_basic`, `connected_components`) "just work":
   they may inspect the graph, compute & cache properties, and pick an
   implementation.
-* **Advanced** entry points (`bfs_parent_push`, `bfs_parent_do`,
-  `pagerank_gap`, `pagerank_gx`, `betweenness_centrality_batch`,
-  `sssp_delta_stepping`, `sssp_bellman_ford`, `triangle_count`, `fastsv`)
+* **Advanced** entry points (`bfs_parent_push`, `pagerank_gap`,
+  `pagerank_gx`, `betweenness_centrality_batch`, `sssp_delta_stepping`,
+  `sssp_bellman_ford`, `triangle_count`, `fastsv`)
   never compute cached properties and raise
   :class:`~repro.lagraph.errors.PropertyMissing` /
   :class:`~repro.lagraph.errors.InvalidKind` when preconditions are unmet.
 """
 
 from .bc import betweenness_centrality, betweenness_centrality_batch
-from .bfs import (bfs, bfs_level, bfs_parent_auto, bfs_parent_do,
-                  bfs_parent_fused, bfs_parent_push)
+from .bfs import bfs, bfs_level, bfs_parent_auto, bfs_parent_push
 from .cc import connected_components, fastsv
 from .msbfs import msbfs, msbfs_levels, msbfs_parents
 from .pagerank import pagerank, pagerank_gap, pagerank_gx
@@ -29,8 +28,7 @@ from .tc import (
 )
 
 __all__ = [
-    "bfs", "bfs_level", "bfs_parent_auto", "bfs_parent_do", "bfs_parent_fused",
-    "bfs_parent_push",
+    "bfs", "bfs_level", "bfs_parent_auto", "bfs_parent_push",
     "betweenness_centrality", "betweenness_centrality_batch",
     "connected_components", "fastsv",
     "msbfs", "msbfs_levels", "msbfs_parents",

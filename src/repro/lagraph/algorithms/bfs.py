@@ -5,7 +5,9 @@ The parent BFS rests on the ``any.secondi`` semiring: one ``vxm`` computes
 selection (``secondi`` yields the id of the frontier node that discovered
 each neighbour) and de-duplication (``any`` resolves the benign race by
 picking one parent) in a single step.  The follow-up
-``p⟨s(q)⟩ = q`` writes the new parents.
+``p⟨s(q)⟩ = q`` writes the new parents.  :func:`bfs_parent_push` is that
+Alg. 1 loop verbatim — the reference every other parent BFS must match
+entry for entry.
 
 Direction optimisation (Alg. 2): a *push* step costs the total out-degree
 of the frontier; a *pull* step (``AT any.secondi q`` restricted to the
@@ -16,16 +18,17 @@ execution engine's rule registry
 (:func:`repro.grb.engine.choose_direction`; constants
 ``PUSHPULL_ALPHA`` / ``PUSHPULL_BETA`` in :mod:`repro.grb.engine.cost`),
 so it is forceable and telemetry-observable like every other planner
-decision.
+decision.  :func:`bfs_parent_auto` is the one direction-optimising parent
+BFS.
 
-Advanced entry points follow Sec. II-B strictly: they never compute cached
-properties (``bfs_parent`` with ``direction_optimizing=True`` demands a
-cached ``G.AT``) and raise :class:`PropertyMissing` otherwise.  The Basic
-entry point computes whatever it needs and caches it on the graph.
+The Advanced entry points never compute cached properties (Sec. II-B);
+Basic-mode :func:`bfs` caches ``G.AT`` and ``G.row_degree`` on the graph
+and always runs :func:`bfs_parent_auto` for parents.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,21 +36,25 @@ import numpy as np
 from ... import grb
 from ...grb import Vector, complement, engine, structure
 from ...grb import cancel as _cancel
-from ...grb.engine import cost as _cost
-from ..errors import PropertyMissing
 from ..graph import Graph
 
-__all__ = ["bfs", "bfs_parent_push", "bfs_parent_do", "bfs_parent_auto",
-           "bfs_parent_fused", "bfs_level"]
+__all__ = ["bfs", "bfs_parent_push", "bfs_parent_auto", "bfs_level"]
 
 _ANY_SECONDI = grb.semiring("any", "secondi")
 _ANY_PAIR = grb.semiring("any", "pair")
 
 
-def _check_source(g: Graph, source: int):
+def _check_source(g: Graph, source: int) -> int:
+    """The source as a plain ``int``, range-checked against ``g``."""
+    try:
+        source = operator.index(source)
+    except TypeError:
+        raise grb.InvalidValue(
+            f"source must be an integer, got {source!r}") from None
     if not 0 <= source < g.n:
         raise grb.IndexOutOfBounds(
             f"source {source} out of range [0, {g.n})")
+    return source
 
 
 def bfs_parent_push(g: Graph, source: int) -> Vector:
@@ -56,7 +63,7 @@ def bfs_parent_push(g: Graph, source: int) -> Vector:
     Returns the INT64 parent vector: ``p[v]`` is the BFS-tree parent of
     ``v``, with ``p[source] == source``; unreached nodes have no entry.
     """
-    _check_source(g, source)
+    source = _check_source(g, source)
     a = g.A
     n = g.n
     p = Vector(grb.INT64, n)
@@ -69,48 +76,6 @@ def bfs_parent_push(g: Graph, source: int) -> Vector:
                 mask=complement(structure(p)), replace=True)
         if q.nvals == 0:
             break
-        grb.update(p, q, mask=structure(q))
-    return p
-
-
-def bfs_parent_do(g: Graph, source: int) -> Vector:
-    """Alg. 2 — direction-optimising parents BFS (Advanced mode).
-
-    Requires ``G.AT`` and ``G.row_degree`` to be cached; raises
-    :class:`PropertyMissing` otherwise (Advanced algorithms never compute
-    properties, Sec. II-B).
-    """
-    _check_source(g, source)
-    if g.AT is None:
-        raise PropertyMissing("bfs_parent_do requires cached G.AT")
-    if g.row_degree is None:
-        raise PropertyMissing("bfs_parent_do requires cached G.row_degree")
-    a = g.A
-    at = g.AT
-    n = g.n
-    out_deg = g.row_degree.to_dense()
-    total_edges = float(out_deg.sum())
-
-    p = Vector(grb.INT64, n)
-    q = Vector(grb.INT64, n)
-    p[source] = source
-    q[source] = source
-    scanned = float(out_deg[source])
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        frontier_edges = float(out_deg[q.indices].sum())
-        unexplored = max(total_edges - scanned, 0.0)
-        push = engine.choose_direction(frontier_edges, unexplored,
-                                       q.nvals, n) == "push"
-        if push:
-            grb.vxm(q, q, a, _ANY_SECONDI,
-                    mask=complement(structure(p)), replace=True)
-        else:
-            grb.mxv(q, at, q, _ANY_SECONDI,
-                    mask=complement(structure(p)), replace=True)
-        if q.nvals == 0:
-            break
-        scanned += float(out_deg[q.indices].sum())
         grb.update(p, q, mask=structure(q))
     return p
 
@@ -131,17 +96,16 @@ def bfs_parent_auto(g: Graph, source: int) -> Vector:
 
     Both step kinds pick the smallest frontier in-neighbour as the parent,
     so the result is identical — entry for entry — to
-    :func:`bfs_parent_push`, whatever sequence of directions runs.  Unlike
-    :func:`bfs_parent_do` it never demands cached graph properties: the
-    transpose view comes from ``G.AT`` when present, else from the
-    adjacency's own storage.
+    :func:`bfs_parent_push`, whatever sequence of directions runs.  It
+    never demands cached graph properties: the transpose view comes from
+    ``G.AT`` when present, else from the adjacency's own storage.
     """
-    _check_source(g, source)
+    source = _check_source(g, source)
     from ...grb._kernels.matmul import mxv_pull_probe, vxm_sparse
 
     a = g.A
     n = g.n
-    at = g.AT if g.AT is not None else None
+    at = g.AT
     if at is not None:
         at_indptr, at_indices = at.indptr, at.indices
     else:
@@ -186,53 +150,13 @@ def bfs_parent_auto(g: Graph, source: int) -> Vector:
     return Vector.from_coo(reached, parent_dense[reached], n)
 
 
-def bfs_parent_fused(g: Graph, source: int) -> Vector:
-    """The fused frontier step the paper anticipates (Sec. VI-B, item 2).
-
-    The spec's non-blocking mode lets an implementation run ``GrB_vxm``
-    and the follow-up parent assign as one pass.  This variant *is* that
-    mode: each level records the two calls of Alg. 1 into a
-    :func:`repro.grb.deferred` scope, and the scope's flush hands the pair
-    to the engine as a MultiPlan, where the ``fused-frontier-parent``
-    multi-output rule executes the frontier expansion and the parent
-    update in the producing kernel's single output pass — no intermediate
-    masked write-back for ``q``, no second mask resolution for ``p``.
-    (Earlier revisions hand-fused the two calls outside the plan layer;
-    the engine rule replaces that.)  Results are identical to
-    :func:`bfs_parent_push` — with ``cost.FUSION_ENABLED`` or
-    ``cost.MULTI_FUSION_ENABLED`` off, each level decomposes into exactly
-    that two-call sequence; the ablation benchmark measures what the
-    fusion buys.
-    """
-    _check_source(g, source)
-    a = g.A
-    n = g.n
-    p = Vector(grb.INT64, n)
-    q = Vector(grb.INT64, n)
-    p[source] = source
-    q[source] = source
-    # masks hold object references, not snapshots: resolution happens at
-    # execution time against the level's current state, so both can be
-    # hoisted out of the loop
-    unvisited = complement(structure(p))
-    s_q = structure(q)
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        with grb.deferred():
-            grb.vxm(q, q, a, _ANY_SECONDI, mask=unvisited, replace=True)
-            grb.update(p, q, mask=s_q)
-        if q.nvals == 0:
-            break
-    return p
-
-
 def bfs_level(g: Graph, source: int) -> Vector:
     """Level BFS: ``level[v]`` = BFS depth from the source (source = 0).
 
     Uses the ``any.pair`` semiring — the structural analogue of
     ``any.secondi`` when only reachability per level is needed.
     """
-    _check_source(g, source)
+    source = _check_source(g, source)
     a = g.A
     n = g.n
     level = Vector(grb.INT64, n)
@@ -251,31 +175,19 @@ def bfs_level(g: Graph, source: int) -> Vector:
 
 def bfs(g: Graph, source: int, *,
         parent: bool = True, level: bool = False,
-        direction_optimizing: Optional[bool] = None,
         ) -> Tuple[Optional[Vector], Optional[Vector]]:
     """Basic-mode BFS: "just works" (Sec. II-B).
 
-    Inspects the graph, computes & caches any properties the best advanced
-    variant needs, picks the variant, and returns ``(parent, level)``
-    vectors (``None`` for whichever was not requested).
-
-    ``direction_optimizing=None`` lets the heuristic decide (it opts in for
-    graphs with enough edges to amortise the transpose); ``True``/``False``
-    force the choice.
+    Caches ``G.AT`` and ``G.row_degree`` on the graph, then returns
+    ``(parent, level)`` vectors (``None`` for whichever was not
+    requested).  Parents come from :func:`bfs_parent_auto`.
     """
-    _check_source(g, source)
+    source = _check_source(g, source)
     p = lv = None
     if parent:
-        use_do = direction_optimizing
-        if use_do is None:
-            # dense enough for pull (and the transpose build) to pay off
-            use_do = g.nvals >= _cost.BFS_DO_MIN_AVG_DEGREE * g.n
-        if use_do:
-            g.cache_at()          # Basic mode may compute properties
-            g.cache_row_degree()
-            p = bfs_parent_auto(g, source)
-        else:
-            p = bfs_parent_push(g, source)
+        g.cache_at()              # Basic mode may compute properties
+        g.cache_row_degree()
+        p = bfs_parent_auto(g, source)
     if level:
         lv = bfs_level(g, source)
     return p, lv

@@ -192,10 +192,10 @@ def _algo_results(g, gw, gu):
 
     out = {}
     out["bfs_push"] = lg.bfs_parent_push(g, 0)
-    out["bfs_fused"] = lg.bfs_parent_fused(g, 0)
     out["bfs_level"] = lg.bfs_level(g, 0)
     out["sssp_bf"] = lg.sssp_bellman_ford(gw, 0)
     out["sssp_delta"] = lg.sssp_delta_stepping(gw, 0, 2.0)
+    out["sssp_delta_fine"] = lg.sssp_delta_stepping(gw, 1, 1.0)
     out["sssp_batch"] = lg.sssp_batch(gw, [0, 1, 2])
     out["pagerank"] = lg.pagerank(g)[0]
     out["cc"] = lg.connected_components(gu)
@@ -249,12 +249,15 @@ def test_fusion_off_is_fully_decomposed(monkeypatch):
     from repro.grb import telemetry
 
     rng = np.random.default_rng(5)
-    g = random_graph_np(rng, n=30, p=0.15)
-    ref = lg.bfs_parent_push(g, 0)
+    g = random_graph_np(rng, n=30, p=0.15, weighted=True)
+    events = []
+    with telemetry.capture(events.append):
+        ref = lg.sssp_delta_stepping(g, 0)
+    assert [e for e in events if e.get("op") == "multiplan"]
 
     events = []
     monkeypatch.setattr(cost, "FUSION_ENABLED", False)
     with telemetry.capture(events.append):
-        p = lg.bfs_parent_fused(g, 0)
+        d = lg.sssp_delta_stepping(g, 0)
     assert not [e for e in events if e.get("op") == "multiplan"]
-    assert_same_vector(p, ref)
+    assert_same_vector(d, ref)

@@ -112,9 +112,10 @@ class TestConsistencyAcrossModes:
     def test_basic_and_advanced_agree(self):
         g = datasets.build("urand", "tiny")
         # Basic caches, Advanced then runs on the same cached properties
-        p_basic, _ = lg.bfs(g, 5, direction_optimizing=True)
-        p_adv = lg.bfs_parent_do(g, 5)
-        np.testing.assert_array_equal(p_basic.indices, p_adv.indices)
+        p_basic, _ = lg.bfs(g, 5)
+        p_adv = lg.bfs_parent_auto(g, 5)
+        assert p_basic.isequal(p_adv)
+        assert p_adv.isequal(lg.bfs_parent_push(g, 5))
 
     def test_property_caching_is_idempotent_for_results(self):
         g = datasets.build("kron", "tiny")

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from helpers import random_graphs
 from repro import grb
 from repro import lagraph as lg
-from repro.gap import baselines, verify
-from repro.lagraph.errors import PropertyMissing
+from repro.gap import baselines, generators, verify
 
 
 class TestPushOnly:
@@ -47,36 +46,27 @@ class TestPushOnly:
 
 
 class TestDirectionOptimizing:
-    def test_advanced_mode_demands_properties(self, small_directed_graph):
-        with pytest.raises(PropertyMissing):
-            lg.bfs_parent_do(small_directed_graph, 0)
-        small_directed_graph.cache_at()
-        with pytest.raises(PropertyMissing):
-            lg.bfs_parent_do(small_directed_graph, 0)
-
-    def test_matches_push_reachability(self, small_directed_graph):
+    def test_matches_push(self, small_directed_graph):
         g = small_directed_graph
-        g.cache_at()
-        g.cache_row_degree()
-        p_push = lg.bfs_parent_push(g, 0)
-        p_do = lg.bfs_parent_do(g, 0)
-        np.testing.assert_array_equal(p_push.indices, p_do.indices)
+        assert lg.bfs_parent_auto(g, 0).isequal(lg.bfs_parent_push(g, 0))
 
     @given(g=random_graphs(directed=True))
     @settings(max_examples=20)
     def test_valid_tree_on_random_graphs(self, g):
         g.cache_at()
         g.cache_row_degree()
-        p = lg.bfs_parent_do(g, 0)
+        p = lg.bfs_parent_auto(g, 0)
         verify.verify_bfs_parent(g, 0, p)
+        assert p.isequal(lg.bfs_parent_push(g, 0))
 
     @given(g=random_graphs(directed=False))
     @settings(max_examples=15)
     def test_undirected(self, g):
         g.cache_at()
         g.cache_row_degree()
-        p = lg.bfs_parent_do(g, 0)
+        p = lg.bfs_parent_auto(g, 0)
         verify.verify_bfs_parent(g, 0, p)
+        assert p.isequal(lg.bfs_parent_push(g, 0))
 
 
 class TestLevelBFS:
@@ -100,13 +90,13 @@ class TestBasicMode:
 
     def test_basic_mode_caches_properties(self, small_directed_graph):
         g = small_directed_graph
-        lg.bfs(g, 0, direction_optimizing=True)
+        lg.bfs(g, 0)
         assert g.AT is not None and g.row_degree is not None
 
-    def test_forced_push_does_not_cache(self, small_directed_graph):
+    def test_level_only_does_not_cache(self, small_directed_graph):
         g = small_directed_graph
-        lg.bfs(g, 0, direction_optimizing=False)
-        assert g.AT is None
+        lg.bfs(g, 0, parent=False, level=True)
+        assert g.AT is None and g.row_degree is None
 
     def test_parent_matches_baseline_reached_set(self, rng):
         from helpers import random_graph_np
@@ -114,3 +104,73 @@ class TestBasicMode:
         p, _ = lg.bfs(g, 3)
         ref = baselines.bfs_parent(g, 3)
         np.testing.assert_array_equal(p.indices, np.flatnonzero(ref >= 0))
+
+
+def _graph(n, rows, cols, directed=True):
+    A = grb.Matrix.from_coo(rows, cols, np.ones(len(rows), dtype=np.bool_),
+                            n, n, dup_op=grb.binary.LOR)
+    return lg.Graph(A, lg.ADJACENCY_DIRECTED if directed
+                    else lg.ADJACENCY_UNDIRECTED)
+
+
+def _undirected(n, rows, cols):
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    return _graph(n, np.concatenate((rows, cols)),
+                  np.concatenate((cols, rows)), directed=False)
+
+
+def _random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    child = np.arange(1, n)
+    return _undirected(n, [int(rng.integers(0, c)) for c in child], child)
+
+
+#: (graph builder, source): the sparse shapes (average degree < 4) and
+#: corner cases Basic ``bfs()`` must handle with the one parent path
+_SHAPES = {
+    "path": (lambda: _undirected(300, np.arange(299), np.arange(1, 300)),
+             0),
+    "star": (lambda: _undirected(50, np.zeros(49, int), np.arange(1, 50)),
+             7),
+    "random_tree": (lambda: _random_tree(500, 3), 0),
+    "road_no_diagonals": (lambda: generators.road(
+        side=12, weighted=False, diag_fraction=0.0), 0),
+    "single_node": (lambda: _graph(1, [], []), 0),
+    "single_node_self_loop": (lambda: _graph(1, [0], [0]), 0),
+    "source_without_out_edges": (lambda: _graph(4, [0, 1], [1, 2]), 3),
+    "self_loops": (lambda: _graph(5, [0, 0, 1, 1, 2, 3], [0, 1, 1, 2, 3, 3]),
+                   0),
+    "directed_asymmetric": (
+        lambda: _graph(6, [0, 2, 2, 3, 5], [2, 1, 3, 5, 4]), 2),
+    "disconnected": (lambda: _undirected(8, [0, 1, 4, 5], [1, 2, 5, 6]), 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_basic_bfs_matches_push_on_sparse_and_corner_shapes(shape):
+    build, source = _SHAPES[shape]
+    g = build()
+    p, _ = lg.bfs(g, source)
+    verify.verify_bfs_parent(g, source, p)
+    assert p.isequal(lg.bfs_parent_push(g, source))
+
+
+_ENTRY_POINTS = {
+    "bfs": lambda g, s: lg.bfs(g, s)[0],
+    "bfs_parent_push": lg.bfs_parent_push,
+    "bfs_parent_auto": lg.bfs_parent_auto,
+    "bfs_level": lg.bfs_level,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("source", (1.0, True, np.int64(1)),
+                         ids=("float", "bool", "np_int64"))
+def test_source_validation(small_directed_graph, entry, source):
+    run = _ENTRY_POINTS[entry]
+    if isinstance(source, float):
+        with pytest.raises(grb.InvalidValue):
+            run(small_directed_graph, source)
+    else:
+        assert run(small_directed_graph, source).isequal(
+            run(small_directed_graph, 1))

@@ -78,8 +78,8 @@ class TestBfsParentAuto:
         assert p.nvals == 1 and p[5] == 5
 
     def test_basic_mode_routes_through_auto(self, kron):
-        p_do, _ = lg.bfs(kron, 0, direction_optimizing=True)
-        assert p_do.isequal(lg.bfs_parent_push(kron, 0))
+        p_basic, _ = lg.bfs(kron, 0)
+        assert p_basic.isequal(lg.bfs_parent_push(kron, 0))
         assert kron.AT is not None          # Basic mode still caches
 
 

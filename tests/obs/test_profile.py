@@ -165,9 +165,10 @@ class TestTraceAcceptance:
         assert eps and all(r["args"]["fused"] is False for r in eps)
 
     def test_multiplan_spans_under_deferred(self, rng):
-        g = random_graph_np(rng, n=40, p=0.1)
+        g = random_graph_np(rng, n=40, p=0.1, weighted=True)
         with obs.tracing() as tr:
-            lg.bfs_parent_fused(g, 0)  # records levels in deferred scopes
+            # records each relaxation into a deferred scope
+            lg.sssp_delta_stepping(g, 0)
         assert tr.find("multiplan")
         assert tr.find("record:")
 

@@ -34,6 +34,8 @@ GOOD = FIXTURES / "good"
 #: bad fixture → (rule, line) of the one diagnostic it must yield.
 EXPECTED_BAD = {
     "ungated_record.py": ("obs-gating", 5),
+    "ungated_instant.py": ("obs-gating", 5),
+    "stripped_multiplan.py": ("obs-gating", 11),
     "ungated_fire.py": ("fault-gating", 5),
     "lagraph/algorithms/while_loop.py": ("cancel-checkpoint", 5),
     "lagraph/algorithms/for_loop.py": ("cancel-checkpoint", 5),

@@ -2,6 +2,5 @@
 
 This package exists so the static-analysis framework under
 ``tools/reprolint`` is importable as a module from the repository root —
-the standalone scripts (``bench_compare.py``, the ``check_obs_gating.py``
-shim) keep working as plain files.
+the standalone ``bench_compare.py`` script keeps working as a plain file.
 """

@@ -17,15 +17,12 @@ must sit under an ``if`` whose test calls ``active()``/``deep_active()``
 or reads an ``ENABLED`` flag.  Structurally-gated sites opt out with
 ``# obs: gated-by-caller (reason)``.  The :mod:`repro.obs` package itself
 is exempt — it implements the guards.
-
-This is the original ``tools/check_obs_gating.py`` logic rehosted as a
-reprolint checker; the legacy script remains as a shim over this module.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from ..core import Checker, Diagnostic, FileContext, guarded_by, root_name
 
@@ -75,18 +72,6 @@ class ObsGating(Checker):
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
         out = []
-        for lineno, label in self.violations(ctx):
-            out.append(Diagnostic(
-                rule=self.rule_id, path=ctx.display_path, line=lineno,
-                col=0, detail=label,
-                message=(f"ungated observability call {label} (guard on "
-                         f"active()/ENABLED or add '# {self.pragma} "
-                         f"(reason)')")))
-        return out
-
-    def violations(self, ctx: FileContext) -> List[Tuple[int, str]]:
-        """``[(lineno, label), ...]`` — the legacy shim's return shape."""
-        found = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -100,5 +85,10 @@ class ObsGating(Checker):
             anchor = ctx.enclosing_function(node) or node
             if self.waived(ctx, node, anchor=anchor):
                 continue
-            found.append((node.lineno, label))
-        return found
+            out.append(Diagnostic(
+                rule=self.rule_id, path=ctx.display_path, line=node.lineno,
+                col=0, detail=label,
+                message=(f"ungated observability call {label} (guard on "
+                         f"active()/ENABLED or add '# {self.pragma} "
+                         f"(reason)')")))
+        return out
