@@ -199,7 +199,7 @@ class Matrix:
         ident, version = self._plan_sig()
         m._set_lineage(ident, version, permanent=True)
         if _metrics.ENABLED:
-            _obsmem.account(m, m._store)
+            _obsmem.account(m)
         return m
 
     # ------------------------------------------------------------------
@@ -240,7 +240,7 @@ class Matrix:
             self._transpose = None
             self._version += 1   # layout changes which rule fast paths apply
             if _metrics.ENABLED:
-                _obsmem.account(self, self._store)
+                _obsmem.account(self)
         return self
 
     def _S(self):
@@ -275,7 +275,7 @@ class Matrix:
         st = self._csr_store_for_write()
         st.indptr = arr
         if _metrics.ENABLED:
-            _obsmem.account(self, st)
+            _obsmem.account(self)
 
     @property
     def indices(self) -> np.ndarray:
@@ -288,7 +288,7 @@ class Matrix:
         st = self._csr_store_for_write()
         st.indices = arr
         if _metrics.ENABLED:
-            _obsmem.account(self, st)
+            _obsmem.account(self)
 
     @property
     def values(self) -> np.ndarray:
@@ -301,7 +301,7 @@ class Matrix:
         st = self._csr_store_for_write()
         st.values = arr
         if _metrics.ENABLED:
-            _obsmem.account(self, st)
+            _obsmem.account(self)
 
     # ------------------------------------------------------------------
     # internal plumbing
@@ -333,7 +333,7 @@ class Matrix:
         self._invalidate()
         self._keys = keys
         if _metrics.ENABLED:
-            _obsmem.account(self, self._store)
+            _obsmem.account(self)
 
     def _invalidate(self):
         self._scipy = None
@@ -522,7 +522,7 @@ class Matrix:
         self._store = CSRStore.empty(self.nrows, self.ncols, self.type.dtype)
         self._invalidate()
         if _metrics.ENABLED:
-            _obsmem.account(self, self._store)
+            _obsmem.account(self)
 
     def get(self, i: int, j: int, default=None):
         """Value at ``(i, j)`` or ``default`` when absent."""

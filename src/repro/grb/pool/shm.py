@@ -13,9 +13,9 @@ Lifecycle is owned parent-side by :class:`ShmArena`:
 * placements are keyed (typically ``(uid, version, view)``) so repeated
   dispatches against an unchanged operand reuse the segment;
 * each placement holds a weak finalizer on its owning object — when the
-  owner is collected the key lands on a dead-list that the next arena
-  touchpoint drains, closing and unlinking the segment (the same
-  deferred-reclaim shape :mod:`repro.obs.memory` uses for store gauges);
+  owner is collected the key lands on a lock-free dead-list that the
+  next arena touchpoint drains, closing and unlinking the segment (the
+  finalizer runs mid-GC on any thread, so it must not take a lock);
 * ``grb_shm_bytes`` / ``grb_shm_segments`` gauges account live placements
   with delta accounting: additions are recorded only while metrics are
   enabled, and every removal subtracts exactly what its addition added,

@@ -213,7 +213,7 @@ class Vector:
         ident, version = self._plan_sig()
         w._set_lineage(ident, version, permanent=True)
         if _metrics.ENABLED:
-            _obsmem.account(w, w._st)
+            _obsmem.account(w)
         return w
 
     # ------------------------------------------------------------------
@@ -244,7 +244,7 @@ class Vector:
                 fmt, self.size, idx, vals)
             self._version += 1  # layout changes which rule fast paths apply
             if _metrics.ENABLED:
-                _obsmem.account(self, self._st)
+                _obsmem.account(self)
         return self
 
     @property
@@ -272,7 +272,7 @@ class Vector:
         self._st = _policy.vector_store_from_sparse(fmt, self.size, idx, vals)
         self._version += 1
         if _metrics.ENABLED:
-            _obsmem.account(self, self._st)
+            _obsmem.account(self)
 
     def _mask_keys_values(self):
         """(keys, values) for mask resolution — shared protocol with Matrix."""
@@ -335,7 +335,7 @@ class Vector:
         self._st = SparseVec.empty(self.size, self.type.dtype)
         self._version += 1
         if _metrics.ENABLED:
-            _obsmem.account(self, self._st)
+            _obsmem.account(self)
 
     def get(self, i: int, default=None):
         """Value at index ``i`` or ``default`` when absent."""

@@ -51,6 +51,7 @@ def _merge_labels(base: str, extra: str) -> str:
 def prometheus_text(registry: Optional[_metrics.Registry] = None) -> str:
     """The registry in Prometheus text exposition format."""
     reg = registry if registry is not None else _metrics.REGISTRY
+    _memory._refresh()
     lines = []
     for metric in reg.collect():
         if metric.help:
@@ -87,6 +88,7 @@ def json_snapshot(registry: Optional[_metrics.Registry] = None) -> dict:
     counters when the engine is importable.
     """
     reg = registry if registry is not None else _metrics.REGISTRY
+    _memory._refresh()
     out = {"metrics": {}}
     for metric in reg.collect():
         samples = []

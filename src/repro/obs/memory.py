@@ -1,25 +1,28 @@
 """Store-footprint accounting: always-on byte gauges per storage format.
 
 Every :class:`~repro.grb.matrix.Matrix` / :class:`~repro.grb.vector.Vector`
-reports its store's authoritative ``nbytes()`` here at the same mutation
-boundaries the auto-format policy hooks (``_set_from_keys`` /
-``_set_sparse`` / ``set_format`` / ``clear`` / ``dup`` and the CSR array
-setters).  The aggregate lands in two labelled gauges:
+registers itself here at the same mutation boundaries the auto-format
+policy hooks (``_set_from_keys`` / ``_set_sparse`` / ``set_format`` /
+``clear`` / ``dup`` and the CSR array setters).  Registration only adds
+the owner to a weak set; the footprint is aggregated at read time by
+walking the live owners and reading each raw store's authoritative
+``nbytes()``.  Two labelled gauges publish it:
 
 * ``grb_store_bytes{format}`` — authoritative bytes of live stores, and
 * ``grb_store_count{format}`` — number of live stores,
 
-maintained *by delta*: each owner is tracked in a keyed record, a
-``weakref.finalize`` subtracts its contribution when the owner dies, so
-the gauges are exact at every instant without ever walking the heap.
+written by :func:`_refresh` just before the exporters
+(:mod:`repro.obs.export`, :mod:`repro.obs.report`) read the registry.
+The gauges therefore cannot drift: a dead owner drops out of the set, a
+format flip is seen at the next read, and ``metrics.reset()`` is undone
+by the next export.
 
-Cost model: one ``nbytes()`` call (a handful of attribute reads) per
-mutation boundary — mutation boundaries rebuild whole arrays, so the
-accounting is noise next to the work it measures.  Call sites gate on
-``metrics.ENABLED`` like every other always-on bump; record *removal*
-deliberately bypasses the kill switch so a disable/enable window can only
-under-count, never leak (``resync()`` restores exactness from the live
-records, and ``obs.reset()`` calls it).
+Cost model: one weakref and one set insert per mutation boundary; the
+walk is paid by readers only.  Call sites gate on ``metrics.ENABLED``
+like every other always-on bump, so an owner created while the kill
+switch is off stays uncounted until its next mutation boundary with the
+switch on.  Nothing of this module runs in garbage collection: a dead
+owner's weakref callback is the set's own ``discard``.
 
 The opt-in deep tier lives in :mod:`repro.obs.profile`
 (``profiling(memory=True)`` arms ``tracemalloc``); this module also feeds
@@ -31,9 +34,7 @@ first audit the auto-format policy has ever had).
 
 from __future__ import annotations
 
-import threading
 import weakref
-from collections import deque
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from . import identity as _identity
 from . import metrics as _metrics
 
-__all__ = ["account", "snapshot", "top_stores", "format_audit", "resync",
+__all__ = ["account", "snapshot", "top_stores", "format_audit",
            "live_count", "STORE_BYTES", "STORE_COUNT"]
 
 STORE_BYTES = _metrics.gauge(
@@ -53,105 +54,65 @@ STORE_COUNT = _metrics.gauge(
     "Number of live Matrix/Vector stores",
     labels=("format",))
 
-
-class _Record:
-    __slots__ = ("fmt", "nbytes", "ref")
-
-    def __init__(self, fmt: str, nbytes: int, ref):
-        self.fmt = fmt
-        self.nbytes = nbytes
-        self.ref = ref
-
-
-_lock = threading.Lock()
-_live: Dict[int, _Record] = {}
-#: Keys of finalized owners awaiting retirement.  ``_drop`` runs inside
-#: garbage collection — which can trigger at ANY allocation, including on
-#: a thread currently holding ``_lock`` or a metric lock — so the
-#: finalizer itself must be lock-free (deque.append is atomic).  The
-#: queue drains at the next accounting touchpoint.
-_dead: deque = deque()
+#: Weak set of the live owners registered by :func:`account`: one weakref
+#: per owner (refs to one live object compare equal, so re-registering
+#: is a no-op), whose callback is the set's own C-level ``discard`` — a
+#: dead owner leaves without running any Python code during garbage
+#: collection.  ``add``, ``discard`` and ``copy`` are each one C call
+#: under the GIL, so neither side takes a lock; readers walk a copy,
+#: never the live set, which concurrent adds would resize mid-iteration.
+_owners: set = set()
+_drop = _owners.discard
 
 
-def _drop(key: int) -> None:
-    _dead.append(key)
+def account(owner) -> None:
+    """Register ``owner`` so reads include its store's footprint.
 
-
-def _bump(metric, fmt: str, amount) -> None:
-    # Deliberately bypasses metrics.ENABLED: these deltas keep each gauge
-    # equal to the sum over tracked records, and a dead owner's drop must
-    # land even while the kill switch is off or the gauge would leak.
-    child = metric.labels(fmt)
-    with child._lock:
-        child.value += amount
-
-
-def _flush_dead() -> None:
-    """Retire finalized owners' contributions (never called from GC)."""
-    while True:
-        try:
-            key = _dead.popleft()
-        except IndexError:
-            return
-        with _lock:
-            rec = _live.pop(key, None)
-            if rec is not None:
-                _bump(STORE_BYTES, rec.fmt, -rec.nbytes)
-                _bump(STORE_COUNT, rec.fmt, -1)
-
-
-def account(owner, store) -> None:
-    """Fold ``owner``'s current store into the footprint gauges.
-
-    Called by Matrix/Vector at every mutation boundary (the call site
-    guards on ``metrics.ENABLED``; this re-check makes direct calls safe).
-    First sight of an owner registers a finalizer that retires its
-    contribution at garbage collection.
+    Called by Matrix/Vector at every mutation boundary; the call site
+    guards on ``metrics.ENABLED``.
     """
-    if not _metrics.ENABLED:
-        return
-    _flush_dead()
-    fmt = store.fmt
-    nbytes = int(store.nbytes())
-    key = id(owner)
-    with _lock:
-        rec = _live.get(key)
-        if rec is None:
-            _live[key] = _Record(fmt, nbytes, weakref.ref(owner))
-            weakref.finalize(owner, _drop, key)
-            _bump(STORE_BYTES, fmt, nbytes)
-            _bump(STORE_COUNT, fmt, 1)
-        elif fmt == rec.fmt:
-            if nbytes != rec.nbytes:
-                _bump(STORE_BYTES, fmt, nbytes - rec.nbytes)
-                rec.nbytes = nbytes
-        else:
-            _bump(STORE_BYTES, rec.fmt, -rec.nbytes)
-            _bump(STORE_COUNT, rec.fmt, -1)
-            _bump(STORE_BYTES, fmt, nbytes)
-            _bump(STORE_COUNT, fmt, 1)
-            rec.fmt = fmt
-            rec.nbytes = nbytes
+    _owners.add(weakref.ref(owner, _drop))
+
+
+def _live_stores() -> list:
+    """``[(owner, raw_store), ...]`` for every live registered owner."""
+    out = []
+    for ref in _owners.copy():
+        owner = ref()
+        st = None if owner is None else _raw_store(owner)
+        if st is not None:
+            out.append((owner, st))
+    return out
 
 
 def live_count() -> int:
-    """Number of tracked live owners (test/report hook)."""
-    _flush_dead()
-    with _lock:
-        return len(_live)
+    """Number of live registered owners (test/report hook)."""
+    return len(_owners)
 
 
 def snapshot() -> Dict[str, dict]:
-    """``{format: {"bytes": int, "count": int}}`` from the gauges."""
-    _flush_dead()
+    """``{format: {"bytes": int, "count": int}}`` over the live stores."""
     out: Dict[str, dict] = {}
-    for labelvalues, child in STORE_BYTES.samples():
-        out.setdefault(labelvalues[0], {"bytes": 0, "count": 0})["bytes"] = \
-            int(child.value)
-    for labelvalues, child in STORE_COUNT.samples():
-        out.setdefault(labelvalues[0], {"bytes": 0, "count": 0})["count"] = \
-            int(child.value)
+    for _, st in _live_stores():
+        tally = out.setdefault(st.fmt, {"bytes": 0, "count": 0})
+        tally["bytes"] += int(st.nbytes())
+        tally["count"] += 1
     return out
+
+
+def _refresh() -> None:
+    """Write :func:`snapshot` into the gauges, zeroing vacated formats.
+
+    Writes the children directly: the gauges report a fact about the
+    heap, so the kill switch does not freeze them at a stale value.
+    """
+    snap = snapshot()
+    for metric, key in ((STORE_BYTES, "bytes"), (STORE_COUNT, "count")):
+        fmts = {lv[0] for lv, _ in metric.samples()} | set(snap)
+        for fmt in fmts:
+            child = metric.labels(fmt)
+            with child._lock:
+                child.value = snap.get(fmt, {key: 0})[key]
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +153,12 @@ def _value_itemsize(st) -> int:
 def top_stores(n: int = 10) -> List[dict]:
     """The ``n`` largest live stores by authoritative bytes.
 
-    Reads the raw stores (bytes refreshed, lazy state never forced) and
+    Reads the raw stores (lazy state never forced) and
     labels each owner with its registered graph where
     :mod:`repro.obs.identity` knows one.
     """
-    _flush_dead()
-    with _lock:
-        records = list(_live.values())
     rows = []
-    for rec in records:
-        owner = rec.ref()
-        if owner is None:
-            continue
-        st = _raw_store(owner)
-        if st is None:
-            continue
+    for owner, st in _live_stores():
         is_matrix = hasattr(owner, "ncols")
         rows.append({
             "kind": "Matrix" if is_matrix else "Vector",
@@ -263,17 +215,8 @@ def format_audit() -> List[dict]:
     smallest).  Estimates use the array-shape arithmetic of each format,
     not materialised conversions, so the audit is read-only and cheap.
     """
-    _flush_dead()
-    with _lock:
-        records = list(_live.values())
     rows = []
-    for rec in records:
-        owner = rec.ref()
-        if owner is None:
-            continue
-        st = _raw_store(owner)
-        if st is None:
-            continue
+    for owner, st in _live_stores():
         is_matrix = hasattr(owner, "ncols")
         est = _matrix_estimates(st) if is_matrix else _vector_estimates(st)
         best = min(est, key=est.get)
@@ -291,40 +234,3 @@ def format_audit() -> List[dict]:
         })
     rows.sort(key=lambda r: r["savings_bytes"], reverse=True)
     return rows
-
-
-def resync() -> None:
-    """Recompute both gauges exactly from the live records.
-
-    Repairs any drift from accounting skipped while ``metrics.ENABLED``
-    was off, and restores the footprint after ``metrics.reset()`` zeroes
-    the children (``obs.reset()`` calls this automatically).
-    """
-    _flush_dead()
-    with _lock:
-        per_fmt: Dict[str, list] = {}
-        for rec in _live.values():
-            owner = rec.ref()
-            if owner is None:
-                continue     # its finalizer will retire the record
-            st = _raw_store(owner)
-            if st is None:
-                continue
-            rec.fmt = st.fmt
-            rec.nbytes = int(st.nbytes())
-            tally = per_fmt.setdefault(rec.fmt, [0, 0])
-            tally[0] += rec.nbytes
-            tally[1] += 1
-        for metric, pos in ((STORE_BYTES, 0), (STORE_COUNT, 1)):
-            seen = set()
-            for labelvalues, child in metric.samples():
-                fmt = labelvalues[0]
-                seen.add(fmt)
-                value = per_fmt.get(fmt, (0, 0))[pos]
-                with child._lock:
-                    child.value = value
-            for fmt, tally in per_fmt.items():
-                if fmt not in seen:
-                    child = metric.labels(fmt)
-                    with child._lock:
-                        child.value = tally[pos]

@@ -67,6 +67,7 @@ def report(*, registry: Optional[_metrics.Registry] = None,
     reg = registry if registry is not None else _metrics.REGISTRY
     lines: List[str] = ["== repro.obs report =="]
 
+    _memory._refresh()
     metric_lines = _metric_lines(reg)
     if metric_lines:
         lines.append("-- metrics --")

@@ -2,10 +2,11 @@
 
 ISSUE 7 tentpole layer 1:
 
-* every Matrix/Vector mutation boundary folds the store's authoritative
-  ``nbytes()`` into ``grb_store_bytes{format}`` / ``grb_store_count{format}``,
-  maintained by delta — format flips move the contribution between labels,
-  garbage collection retires it;
+* every Matrix/Vector mutation boundary registers its owner, and reads
+  aggregate the live stores' authoritative ``nbytes()`` into
+  ``grb_store_bytes{format}`` / ``grb_store_count{format}`` — format flips
+  show under the new label at the next read, garbage collection drops
+  the owner, and nothing can drift;
 * ``nbytes_components()`` / ``cache_nbytes()`` split authoritative arrays
   from materialised derived views (the hypersparse CSR cache aliases the
   authoritative triple, so only the expanded indptr may count);
@@ -27,7 +28,7 @@ from repro.obs import memory, metrics
 @pytest.fixture(autouse=True)
 def _clean_slate():
     gc.collect()
-    obs.reset()          # resync gauges to whatever stores are still live
+    obs.reset()
     yield
     gc.collect()
     obs.reset()
@@ -126,17 +127,28 @@ class TestFootprintGauges:
             assert memory.live_count() == before
         finally:
             metrics.ENABLED = True
-        # resync repairs the drift once re-enabled and re-accounted
         m.set_format("bitmap")
         assert memory.live_count() > before
 
-    def test_resync_restores_after_metrics_reset(self):
+    def test_footprint_survives_metrics_reset(self):
         m = _mat()
         fmt = m.format
+        obs.prometheus_text()
         metrics.reset()                     # zeroes the gauge children
-        assert memory.snapshot().get(fmt, {"bytes": 0})["bytes"] == 0
-        memory.resync()
         assert memory.snapshot()[fmt]["bytes"] >= m._store.nbytes()
+        line = next(ln for ln in obs.prometheus_text().splitlines()
+                    if ln.startswith(f'grb_store_bytes{{format="{fmt}"}}'))
+        assert float(line.split()[-1]) >= m._store.nbytes()
+
+    def test_vacated_format_reads_zero(self):
+        m = _mat()
+        m.set_format("bitmap")
+        obs.prometheus_text()
+        assert memory.STORE_COUNT.labels("bitmap").value >= 1
+        before = memory.STORE_COUNT.labels("bitmap").value
+        m.set_format("csr")
+        obs.prometheus_text()
+        assert memory.STORE_COUNT.labels("bitmap").value == before - 1
 
     def test_dup_accounts_the_copy(self):
         m = _mat()
@@ -144,6 +156,65 @@ class TestFootprintGauges:
         d = m.dup()
         assert memory.snapshot()[m.format]["count"] == before + 1
         assert d is not None
+
+
+class TestConcurrentRegistration:
+    def test_scrape_while_threads_register_and_drop(self):
+        import sys
+        import threading
+
+        gc.collect()
+        baseline = memory.live_count()
+        stop = threading.Event()
+        errors = []
+
+        def churn(seed):
+            try:
+                rng = np.random.default_rng(seed)
+                held = []                # a live population to walk over
+                for _ in range(600):
+                    m = _mat(n=20, nnz=30, seed=int(rng.integers(1 << 30)))
+                    m.set_format("bitmap")
+                    d = m.dup()
+                    d.set_format("csr")
+                    v = grb.Vector.from_coo([1, 3], [1.0, 2.0], 8)
+                    v[5] = 3.0
+                    v.clear()
+                    held.append((m, d, v))
+                    if len(held) > 150:
+                        held.pop(int(rng.integers(len(held))))
+                del held
+            except Exception as exc:   # pragma: no cover - reported below
+                errors.append(exc)
+
+        def scrape():
+            try:
+                while not stop.is_set():
+                    obs.prometheus_text()
+                    memory.top_stores()
+                    memory.format_audit()
+            except Exception as exc:   # pragma: no cover - reported below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=churn, args=(i,))
+                   for i in range(4)]
+        reader = threading.Thread(target=scrape)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)      # interleave threads finely
+        try:
+            reader.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            stop.set()
+            reader.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [reader])
+        assert errors == []
+        gc.collect()
+        assert memory.live_count() == baseline
 
 
 class TestReportTier:

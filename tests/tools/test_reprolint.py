@@ -35,6 +35,7 @@ GOOD = FIXTURES / "good"
 EXPECTED_BAD = {
     "ungated_record.py": ("obs-gating", 5),
     "ungated_instant.py": ("obs-gating", 5),
+    "ungated_account.py": ("obs-gating", 6),
     "stripped_multiplan.py": ("obs-gating", 11),
     "ungated_fire.py": ("fault-gating", 5),
     "lagraph/algorithms/while_loop.py": ("cancel-checkpoint", 5),

@@ -11,7 +11,7 @@ values before checking the guard.  Every
 * bump (``inc``/``dec``/``set``/``observe``) on a module-level metric
   handle (ALL-CAPS root name, e.g. ``_REQUESTS.labels(...).inc()``), and
 * delta-writer helper call handed a module-level metric handle
-  (``_bump(SHM_BYTES, n)`` — the pool/footprint idiom)
+  (``_bump(SHM_BYTES, n)`` — the shm-pool idiom)
 
 must sit under an ``if`` whose test calls ``active()``/``deep_active()``
 or reads an ``ENABLED`` flag.  Structurally-gated sites opt out with
